@@ -17,7 +17,6 @@ size_t LatencyHistogram::BucketFor(uint64_t v) {
 
 void LatencyHistogram::Record(uint64_t v) {
   buckets_[BucketFor(v)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(v, std::memory_order_relaxed);
   uint64_t seen = min_.load(std::memory_order_relaxed);
   while (v < seen && !min_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
@@ -32,8 +31,8 @@ HistogramSnapshot LatencyHistogram::Snapshot() const {
   snap.buckets.resize(kBuckets);
   for (size_t b = 0; b < kBuckets; ++b) {
     snap.buckets[b] = buckets_[b].load(std::memory_order_relaxed);
+    snap.count += snap.buckets[b];
   }
-  snap.count = count_.load(std::memory_order_relaxed);
   snap.sum = sum_.load(std::memory_order_relaxed);
   uint64_t min = min_.load(std::memory_order_relaxed);
   snap.min = min == UINT64_MAX ? 0 : min;
@@ -95,8 +94,8 @@ std::string_view TraceReasonName(TraceReason reason) {
       return "dispatch";
     case TraceReason::kDispatchError:
       return "dispatch-error";
-    case TraceReason::kIslandRun:
-      return "island-run";
+    case TraceReason::kReserved6:
+      return "reserved";
     case TraceReason::kEventFlush:
       return "event-flush";
     case TraceReason::kConnectionOpen:

@@ -14,8 +14,8 @@
 //     reason codes. Writers are always single-threaded per ring (each
 //     thread records only into its own ring); a per-ring mutex serializes
 //     the writer against snapshot readers, so a trace snapshot can be
-//     taken from any thread at any time — in particular while engine
-//     workers are tracing mid-fan-out without the server's state lock.
+//     taken from any thread at any time — in particular while the engine
+//     thread is tracing mid-fan-out without the server's state lock.
 //
 // The primitives are deliberately independent of the server so tests,
 // benches and tools can use them stand-alone.
@@ -89,13 +89,12 @@ class LatencyHistogram {
   static uint64_t BucketHigh(size_t b) { return b == 0 ? 0 : (uint64_t{1} << b) - 1; }
 
   void Record(uint64_t v);
+  // The snapshot's count is the sum of the bucket values it read, so it
+  // always agrees with its own buckets even while Record runs concurrently.
   HistogramSnapshot Snapshot() const;
-
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
 
  private:
   std::atomic<uint64_t> buckets_[kBuckets]{};
-  std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
   std::atomic<uint64_t> min_{UINT64_MAX};
   std::atomic<uint64_t> max_{0};
@@ -106,12 +105,12 @@ class LatencyHistogram {
 enum class TraceReason : uint16_t {
   kNone = 0,
   kTickStart = 1,      // arg0 = frames
-  kTickEnd = 2,        // arg0 = duration us, arg1 = islands ticked
+  kTickEnd = 2,        // arg0 = duration us
   kTickOverrun = 3,    // arg0 = duration us, arg1 = period us
   kDispatch = 4,       // arg0 = opcode, arg1 = duration us
   kDispatchError = 5,  // arg0 = opcode, arg1 = error code
-  kIslandRun = 6,      // arg0 = island index, arg1 = device count
-  kEventFlush = 7,     // arg0 = deferred events flushed after a parallel tick
+  kReserved6 = 6,      // retired (the removed parallel tick's island run); never reuse
+  kEventFlush = 7,     // arg0 = deferred events flushed at epoch commit
   kConnectionOpen = 8, // arg0 = connection index
   kConnectionClose = 9,// arg0 = connection index
   // Request-scoped spans (trace/parent/dur_us are meaningful from here on).

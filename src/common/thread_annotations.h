@@ -114,7 +114,7 @@ class AUD_CAPABILITY("mutex") Mutex {
     return true;
   }
 
-  // Disambiguates same-rank acquisitions (the IslandRootLocks carve-out):
+  // Disambiguates same-rank acquisitions (the RootEngineLocks carve-out):
   // kEngineRoot mutexes carry their root LOUD's id so ascending-id
   // acquisition validates. Set once, before the mutex is ever contended.
   void SetRankOrder(uint64_t order) { order_ = order; }
@@ -134,8 +134,8 @@ class AUD_CAPABILITY("mutex") Mutex {
 };
 
 // RAII lock for aud::Mutex. Supports temporary release (Unlock/Lock) for
-// worker loops that drop the lock around job execution; the destructor
-// releases only if currently held.
+// loops that drop the lock around a callback; the destructor releases only
+// if currently held.
 class AUD_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex* mu) AUD_ACQUIRE(mu) : mu_(mu), held_(true) {
@@ -149,7 +149,7 @@ class AUD_SCOPED_CAPABILITY MutexLock {
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
 
-  // Temporary release inside the scope (EnginePool::WorkerLoop pattern).
+  // Temporary release inside the scope.
   void Unlock() AUD_RELEASE() {
     mu_->Unlock();
     held_ = false;

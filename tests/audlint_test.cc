@@ -721,6 +721,15 @@ Run `audiond --port 7800 --verbose`. Benchmarks accept `--json-out=PATH`.
       HasProblem(LintTree(files), "audioctl flag --json is undocumented"));
 }
 
+TEST(AudlintTest, StaleReadmeFlagRowFlagged) {
+  FileMap files = CleanTree();
+  // A row for a flag no tool parses any more: documented, but dead.
+  files["README.md"] += "\n| `--port N` | listen port |\n| `--ghost-threads N` | gone |\n";
+  std::vector<std::string> problems = LintTree(files);
+  EXPECT_TRUE(HasProblem(problems, "flag row --ghost-threads is parsed by no tool"));
+  EXPECT_FALSE(HasProblem(problems, "flag row --port"));
+}
+
 TEST(AudlintTest, BareDashDashSeparatorIgnored) {
   FileMap files = CleanTree();
   files["audioctl.cc"] += "\n    if (arg == \"--\") { rest_are_positional = true; }\n";

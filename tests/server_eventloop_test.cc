@@ -1,10 +1,10 @@
 // Event-loop connection plane (DESIGN.md decision 14): the same contracts
 // the thread-per-connection plane honors — hostile-client survival, full
-// resource reclamation, serial/parallel bit-identity, slow-client overflow
-// policies — re-proven with connections multiplexed onto a fixed pool of
-// event-loop threads (level- and edge-triggered, epoll and poll backends),
-// plus the one property the legacy plane cannot have: thread count that
-// does not grow with the client count.
+// resource reclamation, slow-client overflow policies — re-proven with
+// connections multiplexed onto a fixed pool of event-loop threads (level-
+// and edge-triggered, epoll and poll backends), plus the one property the
+// legacy plane cannot have: thread count that does not grow with the client
+// count.
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -12,7 +12,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -23,7 +22,6 @@
 #include "src/alib/alib.h"
 #include "src/hw/board.h"
 #include "src/server/server.h"
-#include "src/toolkit/toolkit.h"
 #include "src/transport/event_loop.h"
 #include "src/transport/framer.h"
 #include "src/transport/socket_stream.h"
@@ -456,7 +454,6 @@ INSTANTIATE_TEST_SUITE_P(Policies, EventLoopOverflow,
 void RunHostileMix(bool edge_triggered) {
   ServerOptions options;
   options.egress_buffer_bytes = 8 * 1024;  // small: overflow must trigger
-  options.engine_threads = 2;
   options.connection_threads = 2;
   options.loop_edge_triggered = edge_triggered;
   Board board{BoardConfig{}};
@@ -541,66 +538,6 @@ TEST(EventLoopPlane, SurvivesHostileClientMixLevelTriggered) {
 
 TEST(EventLoopPlane, SurvivesHostileClientMixEdgeTriggered) {
   RunHostileMix(/*edge_triggered=*/true);
-}
-
-TEST(EventLoopPlane, SerialAndParallelEnginesStayBitIdentical) {
-  // Decision 7/12's bit-identity contract, with requests arriving through
-  // the loop plane instead of reader threads: the transport swap must not
-  // perturb engine output. A hostile flooder rides along on both runs.
-  std::vector<Sample> captures[2];
-  for (int threads : {1, 4}) {
-    BoardConfig config;
-    ServerOptions options;
-    options.engine_threads = threads;
-    options.connection_threads = 2;
-    Board board(config);
-    AudioServer server(&board, options);
-    board.speakers()[0]->set_capture_output(true);
-    ASSERT_TRUE(server.ListenTcp(0));
-    const uint16_t port = server.tcp_port();
-
-    auto client = AudioConnection::OpenTcp("127.0.0.1", port, "player");
-    ASSERT_NE(client, nullptr);
-    AudioToolkit toolkit(client.get());
-    toolkit.set_time_pump([&] { server.StepFrames(160); });
-
-    std::vector<Sample> pcm(4000);
-    for (size_t i = 0; i < pcm.size(); ++i) {
-      pcm[i] = static_cast<Sample>(6000.0 * std::sin(0.2 * static_cast<double>(i)));
-    }
-    ResourceId sound = toolkit.UploadSound(pcm, {Encoding::kPcm16, 8000});
-    auto chain = toolkit.BuildPlaybackChain();
-    client->Enqueue(chain.loud, {PlayCommand(chain.player, sound, 1)});
-    client->StartQueue(chain.loud);
-    ASSERT_TRUE(client->Sync().ok());
-
-    auto hostile = ConnectTcp("127.0.0.1", port);
-    ASSERT_NE(hostile, nullptr);
-    ASSERT_NE(RawSetup(hostile.get(), "hostile"), kNoResource);
-    std::atomic<bool> stop{false};
-    std::thread hostile_thread([&] {
-      std::vector<uint8_t> junk(32, 0xBD);
-      uint32_t seq = 1;
-      while (!stop.load()) {
-        SendReq(hostile.get(), static_cast<Opcode>(230 + seq % 7), seq, junk);
-        ++seq;
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-    });
-
-    server.StepFrames(160 * 40);  // 800 ms: the whole sound plus completion
-
-    stop.store(true);
-    hostile_thread.join();
-    hostile->Close();
-    captures[threads == 1 ? 0 : 1] = board.speakers()[0]->played();
-    client->Close();
-    server.Shutdown();
-  }
-  EXPECT_GT(Rms(captures[0]), 0.0) << "workload was silent";
-  ASSERT_EQ(captures[0].size(), captures[1].size());
-  EXPECT_TRUE(captures[0] == captures[1])
-      << "parallel engine output diverged from serial on the loop plane";
 }
 
 }  // namespace

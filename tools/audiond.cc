@@ -4,7 +4,7 @@
 //
 // Usage:
 //   audiond [--port N] [--speakers N] [--microphones N] [--lines N]
-//           [--engine-threads N] [--connection-threads N] [--speakerphone]
+//           [--connection-threads N] [--speakerphone]
 //           [--wav-out FILE] [--stats-interval-ms N] [--trace-sample N]
 //           [--metrics-port N] [--flight-dump FILE] [--verbose]
 //
@@ -25,12 +25,18 @@
 // --quota-devices/--quota-sound-bytes/--quota-plays bound what one client
 // may hold. SIGTERM triggers a graceful drain bounded by --drain-ms
 // (SIGINT remains the immediate stop).
+//
+// Every numeric value must be a whole base-10 integer within its option's
+// range; anything else exits 1 with a message before the server starts.
 
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
+#include <type_traits>
 
 #include "src/dsp/encoding.h"
 
@@ -52,6 +58,29 @@ void HandleSignal(int) { g_stop = 1; }
 // hang up phone lines); SIGINT keeps the immediate hard stop.
 void HandleDrainSignal(int) { g_drain = 1; }
 void HandleDumpSignal(int) { g_dump = 1; }
+
+// Upper bounds for the simulated board and the connection plane.
+constexpr int kMaxBoardDevices = 64;
+constexpr uint32_t kMaxConnectionThreads = 64;
+
+// Consumes the value after argv[*i] into *out. The whole string must be a
+// base-10 T in [lo, hi]; otherwise says why and returns false.
+template <typename T>
+bool NextInteger(int argc, char** argv, int* i, T* out, std::type_identity_t<T> lo,
+                 std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
+  const char* flag = argv[*i];
+  const char* text = *i + 1 < argc ? argv[++*i] : "";
+  const char* text_end = text + std::strlen(text);
+  T value{};
+  auto [end, ec] = std::from_chars(text, text_end, value);
+  if (ec != std::errc() || end != text_end || value < lo || value > hi) {
+    std::fprintf(stderr, "audiond: %s wants an integer in [%s, %s], got \"%s\"\n", flag,
+                 std::to_string(lo).c_str(), std::to_string(hi).c_str(), text);
+    return false;
+  }
+  *out = value;
+  return true;
+}
 
 // Minimal HTTP/1.x responder for the metrics endpoint: one request per
 // connection, GET /metrics only. Reuses the server's own socket transport.
@@ -104,27 +133,22 @@ int main(int argc, char** argv) {
   std::string flight_dump = "audiond.flight";
   int stats_interval_ms = 0;
   int drain_ms = 5000;  // SIGTERM graceful-drain deadline
-  for (int i = 1; i < argc; ++i) {
+  bool bad_value = false;
+  for (int i = 1; i < argc && !bad_value; ++i) {
     std::string arg = argv[i];
-    auto next_int = [&](int fallback) {
-      return i + 1 < argc ? std::atoi(argv[++i]) : fallback;
+    auto next_int = [&](auto* out, auto... bounds) {
+      bad_value = !NextInteger(argc, argv, &i, out, bounds...);
     };
     if (arg == "--port") {
-      port = static_cast<uint16_t>(next_int(port));
+      next_int(&port, 0);
     } else if (arg == "--speakers") {
-      config.speakers = next_int(config.speakers);
+      next_int(&config.speakers, 1, kMaxBoardDevices);
     } else if (arg == "--microphones") {
-      config.microphones = next_int(config.microphones);
+      next_int(&config.microphones, 0, kMaxBoardDevices);
     } else if (arg == "--lines") {
-      config.phone_lines = next_int(config.phone_lines);
-    } else if (arg == "--engine-threads") {
-      options.engine_threads = next_int(options.engine_threads);
-      if (options.engine_threads < 1) {
-        options.engine_threads = 1;
-      }
+      next_int(&config.phone_lines, 0, kMaxBoardDevices);
     } else if (arg == "--connection-threads") {
-      int n = next_int(0);
-      options.connection_threads = n > 0 ? static_cast<uint32_t>(n) : 0;
+      next_int(&options.connection_threads, 0, kMaxConnectionThreads);
     } else if (arg == "--loop-poll") {
       options.loop_use_poll = true;
     } else if (arg == "--loop-edge") {
@@ -140,21 +164,17 @@ int main(int argc, char** argv) {
         catalogue_dir = argv[++i];
       }
     } else if (arg == "--stats-interval-ms") {
-      stats_interval_ms = next_int(stats_interval_ms);
+      next_int(&stats_interval_ms, 0);
     } else if (arg == "--trace-sample") {
-      int every = next_int(0);
-      options.trace_sample_every = every > 0 ? static_cast<uint32_t>(every) : 0;
+      next_int(&options.trace_sample_every, 0);
     } else if (arg == "--metrics-port") {
-      metrics_port = static_cast<uint16_t>(next_int(0));
+      next_int(&metrics_port, 0);
     } else if (arg == "--flight-dump") {
       if (i + 1 < argc) {
         flight_dump = argv[++i];
       }
     } else if (arg == "--egress-buffer-bytes") {
-      int bytes = next_int(static_cast<int>(options.egress_buffer_bytes));
-      if (bytes > 0) {
-        options.egress_buffer_bytes = static_cast<size_t>(bytes);
-      }
+      next_int(&options.egress_buffer_bytes, 1);
     } else if (arg == "--egress-overflow") {
       std::string policy = i + 1 < argc ? argv[++i] : "";
       if (policy == "drop-events") {
@@ -170,20 +190,15 @@ int main(int argc, char** argv) {
       // (chaos testing): "seed=7,short_read=0.3,reset_write=0.01,...".
       options.fault = ParseFaultSpec(i + 1 < argc ? argv[++i] : "");
     } else if (arg == "--max-connections") {
-      int n = next_int(0);
-      options.max_connections = n > 0 ? static_cast<size_t>(n) : 0;
+      next_int(&options.max_connections, 0);
     } else if (arg == "--limit-rps") {
-      int n = next_int(0);
-      options.limit_rps = n > 0 ? static_cast<uint32_t>(n) : 0;
+      next_int(&options.limit_rps, 0);
     } else if (arg == "--limit-rps-burst") {
-      int n = next_int(0);
-      options.limit_rps_burst = n > 0 ? static_cast<uint32_t>(n) : 0;
+      next_int(&options.limit_rps_burst, 0);
     } else if (arg == "--limit-bps") {
-      int n = next_int(0);
-      options.limit_bps = n > 0 ? static_cast<uint64_t>(n) : 0;
+      next_int(&options.limit_bps, 0);
     } else if (arg == "--limit-bps-burst") {
-      int n = next_int(0);
-      options.limit_bps_burst = n > 0 ? static_cast<uint64_t>(n) : 0;
+      next_int(&options.limit_bps_burst, 0);
     } else if (arg == "--limit-policy") {
       std::string policy = i + 1 < argc ? argv[++i] : "";
       if (policy == "soft") {
@@ -195,22 +210,19 @@ int main(int argc, char** argv) {
         return 1;
       }
     } else if (arg == "--quota-devices") {
-      int n = next_int(0);
-      options.quota_devices = n > 0 ? static_cast<uint32_t>(n) : 0;
+      next_int(&options.quota_devices, 0);
     } else if (arg == "--quota-sound-bytes") {
-      int n = next_int(0);
-      options.quota_sound_bytes = n > 0 ? static_cast<uint64_t>(n) : 0;
+      next_int(&options.quota_sound_bytes, 0);
     } else if (arg == "--quota-plays") {
-      int n = next_int(0);
-      options.quota_plays = n > 0 ? static_cast<uint32_t>(n) : 0;
+      next_int(&options.quota_plays, 0);
     } else if (arg == "--drain-ms") {
-      drain_ms = next_int(drain_ms);
+      next_int(&drain_ms, 0);
     } else if (arg == "--verbose") {
       SetLogLevel(LogLevel::kDebug);
     } else {
       std::fprintf(stderr,
                    "usage: audiond [--port N] [--speakers N] [--microphones N] "
-                   "[--lines N] [--engine-threads N] [--connection-threads N] "
+                   "[--lines N] [--connection-threads N] "
                    "[--loop-poll] [--loop-edge] [--speakerphone] "
                    "[--wav-out FILE] [--catalogue DIR] [--stats-interval-ms N] "
                    "[--trace-sample N] [--metrics-port N] [--flight-dump FILE] "
@@ -221,6 +233,9 @@ int main(int argc, char** argv) {
                    "[--drain-ms N] [--fault SPEC] [--verbose]\n");
       return arg == "--help" ? 0 : 1;
     }
+  }
+  if (bad_value) {
+    return 1;
   }
   if (stats_interval_ms > 0 && GetLogLevel() > LogLevel::kInfo) {
     SetLogLevel(LogLevel::kInfo);  // the periodic stats line logs at Info
@@ -275,8 +290,6 @@ int main(int argc, char** argv) {
   std::printf("audiond: board: %d speaker(s), %d microphone(s), %d line(s)%s\n",
               config.speakers, config.microphones, config.phone_lines,
               config.speakerphone ? " + speakerphone" : "");
-  std::printf("audiond: engine: %d thread(s)%s\n", options.engine_threads,
-              options.engine_threads > 1 ? " (island-parallel tick)" : "");
   if (server.connection_loops() > 0) {
     std::printf("audiond: connections: %zu event loop(s)%s%s\n",
                 server.connection_loops(),

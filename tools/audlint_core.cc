@@ -887,16 +887,39 @@ bool ContainsFlag(const std::string& doc, const std::string& flag) {
   return false;
 }
 
-// Check 12: CLI flag documentation. Every `--flag` literal in audiond.cc,
-// audioctl.cc, and audioload.cc must appear in README.md — a flag shipped
-// without a line of documentation fails the lint the same commit.
-void CheckCliDocCoverage(const std::string& tool, const std::string& tool_cc,
+// Check 12: CLI flag documentation, both ways. Every `--flag` literal in
+// audiond.cc, audioctl.cc, and audioload.cc must appear in README.md — a
+// flag shipped without a line of documentation fails the lint the same
+// commit. Conversely, every flag named in the first cell of a README flag
+// row (a line starting "| `--") must be parsed by one of those tools, so a
+// removed flag cannot keep its row.
+void CheckCliDocCoverage(const std::map<std::string, std::string>& tools,
                          const std::string& readme,
                          std::vector<std::string>* problems) {
-  for (const std::string& flag : ExtractCliFlags(tool_cc)) {
-    if (!ContainsFlag(readme, flag)) {
-      problems->push_back("README.md: " + tool + " flag " + flag +
-                          " is undocumented");
+  std::string all_tools_cc;
+  for (const auto& [tool, tool_cc] : tools) {
+    all_tools_cc += tool_cc;
+    for (const std::string& flag : ExtractCliFlags(tool_cc)) {
+      if (!ContainsFlag(readme, flag)) {
+        problems->push_back("README.md: " + tool + " flag " + flag +
+                            " is undocumented");
+      }
+    }
+  }
+  std::vector<std::string> parsed = ExtractCliFlags(all_tools_cc);
+  for (const std::string& raw : SplitLines(readme)) {
+    std::string line = StripLine(raw);
+    if (line.rfind("| `--", 0) != 0) {
+      continue;
+    }
+    std::string cell = line.substr(1, line.find('|', 1) - 1);
+    for (size_t pos = 0; (pos = cell.find("`--", pos)) != std::string::npos;) {
+      size_t end = cell.find_first_not_of("abcdefghijklmnopqrstuvwxyz0123456789-", pos + 3);
+      std::string flag = cell.substr(pos + 1, end == std::string::npos ? end : end - pos - 1);
+      if (std::find(parsed.begin(), parsed.end(), flag) == parsed.end()) {
+        problems->push_back("README.md: flag row " + flag + " is parsed by no tool");
+      }
+      pos += 3;
     }
   }
 }
@@ -934,11 +957,9 @@ std::vector<std::string> LintTree(const std::map<std::string, std::string>& file
                            *Find(files, "flight_recorder.cc") +
                            *Find(files, "dispatcher.cc"),
                        &problems);
-  CheckCliDocCoverage("audiond", *Find(files, "audiond.cc"),
-                      *Find(files, "README.md"), &problems);
-  CheckCliDocCoverage("audioctl", *Find(files, "audioctl.cc"),
-                      *Find(files, "README.md"), &problems);
-  CheckCliDocCoverage("audioload", *Find(files, "audioload.cc"),
+  CheckCliDocCoverage({{"audiond", *Find(files, "audiond.cc")},
+                       {"audioctl", *Find(files, "audioctl.cc")},
+                       {"audioload", *Find(files, "audioload.cc")}},
                       *Find(files, "README.md"), &problems);
   return problems;
 }

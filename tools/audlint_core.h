@@ -6,8 +6,9 @@
 // vs the DESIGN.md lock table), error codes (ErrorCode enum vs the name
 // switch vs PROTOCOL.md), metrics coverage (every ServerMetrics field must
 // be rendered somewhere), and CLI flag documentation (every audiond/audioctl
-// --flag must appear in README.md). Runs as a ctest (tools/audlint.cc) so
-// drift fails CI the same commit it happens.
+// --flag must appear in README.md, and every README flag row must name a
+// flag some tool still parses). Runs as a ctest (tools/audlint.cc) so drift
+// fails CI the same commit it happens.
 //
 // The checker is a pure function over file contents so the unit test can
 // lint in-memory fixture trees (tests/audlint_test.cc) without touching
