@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "src/dsp/encoding.h"
 #include "src/dsp/gain.h"
@@ -71,6 +72,12 @@ struct FormatCase {
   Encoding encoding;
   uint32_t rate;
 };
+
+// Without this gtest prints the raw bytes, padding included, into each
+// case's name, so the name changed from one build to the next.
+void PrintTo(const FormatCase& format_case, std::ostream* os) {
+  *os << EncodingName(format_case.encoding) << "@" << format_case.rate;
+}
 
 class ServerFormatSweep : public ServerFixture,
                           public ::testing::WithParamInterface<FormatCase> {

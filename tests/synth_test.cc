@@ -6,6 +6,7 @@
 #include <cmath>
 #include <span>
 #include <sstream>
+#include <string>
 
 #include "src/synth/lts_rules.h"
 #include "src/synth/phonemes.h"
@@ -52,7 +53,9 @@ TEST(PhonemeTest, ParseIsCaseInsensitive) {
   ASSERT_EQ(seq.size(), 2u);
 }
 
-class LtsWords : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+// std::string, not const char*: gtest names each case after the printed
+// parameter, and a printed pointer carries the load address.
+class LtsWords : public ::testing::TestWithParam<std::pair<std::string, std::string>> {};
 
 TEST_P(LtsWords, KnownWordsConvert) {
   LetterToSound lts;
@@ -62,10 +65,14 @@ TEST_P(LtsWords, KnownWordsConvert) {
 // Spot checks on common words covered by the rule set.
 INSTANTIATE_TEST_SUITE_P(
     Common, LtsWords,
-    ::testing::Values(std::pair{"the", "DH AH"}, std::pair{"this", "DH IH S"},
-                      std::pair{"you", "Y UW"}, std::pair{"one", "W AH N"},
-                      std::pair{"cat", "K AE T"}, std::pair{"dog", "D AA G"},
-                      std::pair{"yes", "Y EH S"}, std::pair{"no", "N OW"}));
+    ::testing::Values(LtsWords::ParamType{"the", "DH AH"},
+                      LtsWords::ParamType{"this", "DH IH S"},
+                      LtsWords::ParamType{"you", "Y UW"},
+                      LtsWords::ParamType{"one", "W AH N"},
+                      LtsWords::ParamType{"cat", "K AE T"},
+                      LtsWords::ParamType{"dog", "D AA G"},
+                      LtsWords::ParamType{"yes", "Y EH S"},
+                      LtsWords::ParamType{"no", "N OW"}));
 
 TEST(LtsTest, EveryLetterProducesSomething) {
   // Property: any alphabetic word converts to a nonempty phoneme string of
