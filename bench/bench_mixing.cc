@@ -60,10 +60,6 @@ void RunKernelMicro(BenchJsonWriter* json, bool quick) {
                             std::vector<int32_t>&, std::vector<uint8_t>&) {
          k.mix_accumulate(a.data(), p.data(), p.size(), kUnityGain);
        }},
-      {"mix_add", [](const KernelOps& k, std::vector<Sample>&, std::vector<int32_t>& a,
-                     std::vector<int32_t>& b, std::vector<uint8_t>&) {
-         k.mix_add(a.data(), b.data(), a.size());
-       }},
       {"mix_resolve", [](const KernelOps& k, std::vector<Sample>& p, std::vector<int32_t>& a,
                          std::vector<int32_t>&, std::vector<uint8_t>&) {
          k.mix_resolve(p.data(), a.data(), p.size());

@@ -5,7 +5,7 @@
 //
 // google-benchmark over the wire path: asynchronous request throughput,
 // blocking round-trip latency, pipelined-vs-blocking speedup, and sound
-// data upload bandwidth -- over the in-memory pipe and over TCP.
+// data upload bandwidth -- over an in-process socketpair and over TCP.
 
 #include <benchmark/benchmark.h>
 
@@ -44,7 +44,7 @@ void BM_AsyncRequestThroughput(benchmark::State& state) {
     (void)client->Sync();  // barrier: all processed
   }
   state.SetItemsProcessed(state.iterations() * kBatch);
-  state.SetLabel(tcp ? "tcp" : "pipe");
+  state.SetLabel(tcp ? "tcp" : "socketpair");
 }
 BENCHMARK(BM_AsyncRequestThroughput)->Arg(0)->Arg(1);
 
@@ -66,7 +66,7 @@ void BM_RoundTripLatency(benchmark::State& state) {
     benchmark::DoNotOptimize(client->Sync());
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(tcp ? "tcp" : "pipe");
+  state.SetLabel(tcp ? "tcp" : "socketpair");
 }
 BENCHMARK(BM_RoundTripLatency)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 

@@ -21,7 +21,7 @@
 #include "src/hw/board.h"
 #include "src/server/server.h"
 #include "src/toolkit/toolkit.h"
-#include "src/transport/pipe_stream.h"
+#include "src/transport/socket_stream.h"
 
 namespace aud {
 
@@ -39,7 +39,7 @@ class BenchWorld {
   ~BenchWorld() { server_.Shutdown(); }
 
   std::unique_ptr<AudioConnection> Connect(const std::string& name) {
-    auto [client_end, server_end] = CreatePipePair();
+    auto [client_end, server_end] = CreateSocketPair();
     server_.AddConnection(std::move(server_end));
     return AudioConnection::Open(std::move(client_end), name);
   }

@@ -7,7 +7,7 @@
 
 #include "examples/example_util.h"
 #include "src/toolkit/audio_manager.h"
-#include "src/transport/pipe_stream.h"
+#include "src/transport/socket_stream.h"
 
 int main(int argc, char** argv) {
   using namespace aud;
@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
 
   // Second application and the manager get their own connections.
   auto connect = [&](const char* name) {
-    auto [client_end, server_end] = CreatePipePair();
+    auto [client_end, server_end] = CreateSocketPair();
     world.server().AddConnection(std::move(server_end));
     return AudioConnection::Open(std::move(client_end), name);
   };

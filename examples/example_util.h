@@ -13,7 +13,7 @@
 #include "src/hw/board.h"
 #include "src/server/server.h"
 #include "src/toolkit/toolkit.h"
-#include "src/transport/pipe_stream.h"
+#include "src/transport/socket_stream.h"
 
 namespace aud {
 
@@ -27,7 +27,7 @@ class ExampleWorld {
         realtime_ = true;
       }
     }
-    auto [client_end, server_end] = CreatePipePair();
+    auto [client_end, server_end] = CreateSocketPair();
     server_.AddConnection(std::move(server_end));
     client_ = AudioConnection::Open(std::move(client_end), client_name);
     toolkit_ = std::make_unique<AudioToolkit>(client_.get());

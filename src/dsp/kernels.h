@@ -29,9 +29,6 @@ struct KernelOps {
   // samples through unscaled). Matches MixAccumulator semantics.
   void (*mix_accumulate)(int32_t* acc, const Sample* src, size_t n, int32_t gain);
 
-  // acc[i] += src[i].
-  void (*mix_add)(int32_t* acc, const int32_t* src, size_t n);
-
   // out[i] = saturate16(acc[i]).
   void (*mix_resolve)(Sample* out, const int32_t* acc, size_t n);
 

@@ -4,62 +4,14 @@
 
 namespace aud {
 
-ClientConnection::~ClientConnection() {
-  // Whoever destroys the connection must already have ensured both loops
-  // can exit (HardClose, or reader exit + BeginDrain).
-  if (writer_thread_.joinable()) {
-    writer_thread_.join();
-  }
-  if (reader_thread_.joinable()) {
-    reader_thread_.join();
-  }
-}
-
 void ClientConnection::set_metrics(ServerMetrics* metrics) {
   metrics_ = metrics;
   egress_.set_bytes_gauge(metrics != nullptr ? &metrics->egress_queued_bytes
                                              : nullptr);
 }
 
-void ClientConnection::StartWriter() {
-  writer_started_.store(true);
-  writer_thread_ = std::thread([this] { WriterLoop(); });
-}
-
-void ClientConnection::StartReader(std::function<void()> body) {
-  reader_thread_ = std::thread(std::move(body));
-}
-
-void ClientConnection::WriterLoop() {
-  auto& tracer = obs::TraceRegistry::Instance();
-  EgressFrame frame;
-  while (egress_.Pop(&frame)) {
-    const int64_t write_t0 = frame.trace != 0 ? tracer.NowUs() : 0;
-    if (!WriteMessage(stream_.get(), frame.type, frame.code, frame.sequence,
-                      frame.payload)) {
-      // Transport dead: the reader will see EOF and run reclamation.
-      MarkClosed();
-      egress_.CloseNow();
-      break;
-    }
-    const size_t frame_bytes = kHeaderSize + frame.payload.size();
-    if (frame.trace != 0) {
-      tracer.Span(obs::TraceReason::kSpanWrite, frame.trace, frame.parent, write_t0,
-                  static_cast<uint32_t>(tracer.NowUs() - write_t0),
-                  static_cast<uint32_t>(frame_bytes));
-      if (metrics_ != nullptr) {
-        metrics_->trace_spans.Increment();
-      }
-    }
-    stats_.bytes_out.Increment(frame_bytes);
-    if (metrics_ != nullptr) {
-      metrics_->bytes_out.Increment(frame_bytes);
-    }
-  }
-  egress_.MarkWriterExited();
-}
-
 ClientConnection::DrainStatus ClientConnection::DrainEgress() {
+  flush_requested_.store(false);
   auto& tracer = obs::TraceRegistry::Instance();
   while (true) {
     if (wire_off_ >= wire_buf_.size()) {
@@ -80,7 +32,7 @@ ClientConnection::DrainStatus ClientConnection::DrainEgress() {
         return DrainStatus::kBlocked;
       }
       if (r.status != IoStatus::kOk) {
-        // Transport dead: same reaction as the writer thread.
+        // Transport dead: the owning loop tears the connection down.
         MarkClosed();
         egress_.CloseNow();
         return DrainStatus::kError;
@@ -105,19 +57,6 @@ ClientConnection::DrainStatus ClientConnection::DrainEgress() {
   }
 }
 
-void ClientConnection::BeginDrain() {
-  MarkClosed();
-  egress_.BeginDrain();
-  // Bounded flush so a peer that stops reading mid-drain cannot pin the
-  // reader thread. Never join here — BeginDrain runs on the reader thread
-  // while the destructor (pruner/shutdown) may be joining concurrently;
-  // the destructor is the single owner of both joins.
-  if (writer_started_.load()) {
-    egress_.WaitWriterExitedFor(std::chrono::milliseconds(2000));
-  }
-  stream_->Close();
-}
-
 void ClientConnection::HardClose() {
   MarkClosed();
   egress_.CloseNow();
@@ -133,7 +72,7 @@ bool ClientConnection::Send(MessageType type, uint16_t code, uint32_t sequence,
   EgressFrame frame{type, code, sequence,
                     std::vector<uint8_t>(payload.begin(), payload.end())};
   if (trace != 0) {
-    // Point span marking the enqueue; the writer's kSpanWrite links to it.
+    // Point span marking the enqueue; the loop's kSpanWrite links to it.
     auto& tracer = obs::TraceRegistry::Instance();
     frame.trace = trace;
     frame.parent = tracer.Span(obs::TraceReason::kSpanEgress, trace, parent,
@@ -148,10 +87,13 @@ bool ClientConnection::Send(MessageType type, uint16_t code, uint32_t sequence,
   }
   switch (result.status) {
     case EgressPushStatus::kQueued:
-      // Loop mode: make sure the owning loop flushes this frame. (From the
-      // loop thread itself the post-dispatch flush covers it; the notifier
-      // filters that case to avoid per-send interest churn.)
-      if (loop_mode_ && arm_write_) {
+      // Make sure the owning loop flushes this frame, asking once per drain
+      // cycle: the frame is queued before the flag is read and DrainEgress
+      // clears the flag before it pops, so a flag already set means a
+      // flush that will pop this frame is still to come. (A send made by
+      // this connection's own handler is covered by the post-dispatch
+      // flush; the notifier filters that case.)
+      if (arm_write_ && !flush_requested_.exchange(true)) {
         arm_write_();
       }
       return true;
@@ -159,7 +101,7 @@ bool ClientConnection::Send(MessageType type, uint16_t code, uint32_t sequence,
       return false;
     case EgressPushStatus::kOverflow:
       // Slow client: it stopped reading even its replies. Cut it off; the
-      // reader observes the closed stream and reclaims its resources.
+      // owning loop observes the closed stream and reclaims its resources.
       LogLine(LogLevel::kWarning)
           << "egress overflow, disconnecting slow client #" << index_
           << (client_name_.empty() ? "" : " (" + client_name_ + ")");

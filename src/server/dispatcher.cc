@@ -102,7 +102,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
   // Per-opcode accounting (unknown opcodes only hit the totals).
   ServerMetrics& metrics = state_.metrics();
   const bool known_opcode = message.header.code < ServerMetrics::kOpcodes;
-  // Clock dispatch from when the reader thread started queueing for the
+  // Clock dispatch from when the loop thread started queueing for the
   // state lock: dispatch_us = lock wait + handling, so a tick that stalls
   // dispatch shows up here even though the stall happens before the handler.
   const auto dispatch_t0 = received_at;
@@ -944,7 +944,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
       EntityStatsReply reply;
       // connections_ is guarded by the state lock, which dispatch holds;
       // the per-connection counters themselves are lock-free atomics, so
-      // the reader/writer threads of other clients keep running.
+      // the loops serving other clients keep running.
       for (const auto& c : connections_) {
         if (c->finished()) {
           continue;
@@ -1002,7 +1002,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
   obs::Trace(obs::TraceReason::kDispatch, message.header.code,
              static_cast<uint32_t>(dispatch_us));
   if (trace.trace_id != 0) {
-    // Dispatch span: lock wait + handling, backdated to when the reader
+    // Dispatch span: lock wait + handling, backdated to when the loop
     // started queueing for the state lock (same window dispatch_us clocks).
     auto& tracer = obs::TraceRegistry::Instance();
     const int64_t now_us = tracer.NowUs();

@@ -3,9 +3,9 @@
 // a ServerStatsReply under the big lock (GetServerStats).
 //
 // Thread-safety contract: counters and gauges are relaxed atomics, so any
-// thread (reader threads counting transport bytes, the tick fan-out, the
+// thread (loop threads counting transport bytes, the tick fan-out, the
 // dispatcher) may bump them without holding the state lock. Histograms are
-// built entirely from relaxed atomics too: recording needs no lock (reader
+// built entirely from relaxed atomics too: recording needs no lock (loop
 // threads record lock_wait_us while they are *waiting* for the state lock,
 // and the tick thread records epoch/tick timings inside its commit
 // section), and a snapshot taken concurrently never tears a bucket. See

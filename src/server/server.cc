@@ -1,6 +1,7 @@
 #include "src/server/server.h"
 
 #include <algorithm>
+#include <thread>
 
 #include "src/common/logging.h"
 
@@ -26,26 +27,22 @@ AudioServer::AudioServer(Board* board, ServerOptions options)
 }
 
 void AudioServer::StartLoops() {
-  if (options_.connection_threads == 0) {
-    return;
-  }
+  // One loop per core, at most four: four loops held 2048 clients inside
+  // the engine's SLOs (bench_capacity), and more would only add threads.
+  const uint32_t count = std::min(4u, std::max(1u, std::thread::hardware_concurrency()));
   EventLoopOptions lo;
-  lo.backend = options_.loop_use_poll ? EventLoopOptions::Backend::kPoll
-                                      : EventLoopOptions::Backend::kAuto;
-  lo.edge_triggered = options_.loop_edge_triggered;
   lo.metrics.epoll_waits = &metrics_->epoll_waits;
   lo.metrics.wakeups = &metrics_->loop_wakeups;
   lo.metrics.readiness_spurious = &metrics_->readiness_spurious;
   lo.metrics.fds_watched = &metrics_->fds_watched;
   lo.metrics.dispatch_us = &metrics_->loop_dispatch_us;
-  for (uint32_t i = 0; i < options_.connection_threads; ++i) {
+  for (uint32_t i = 0; i < count; ++i) {
     auto loop = std::make_unique<EventLoop>(lo);
     loop->set_sweep([this, i] { LoopSweep(i); });
     if (!loop->Start()) {
-      LogLine(LogLevel::kWarning)
-          << "event loop " << i << " failed to start; "
-          << "falling back to thread-per-connection";
-      loops_.clear();
+      // Serve on the loops that did start; with none, every connection is
+      // refused at AddConnection.
+      LogLine(LogLevel::kError) << "event loop " << i << " failed to start";
       return;
     }
     loops_.push_back(std::move(loop));
@@ -66,25 +63,23 @@ void AudioServer::DeliverEvent(uint32_t conn_index, const EventMessage& event) {
 AudioServer::~AudioServer() { Shutdown(); }
 
 void AudioServer::AddConnection(std::unique_ptr<ByteStream> stream) {
-  // Declared before the lock so the joins in ~ClientConnection run after
-  // the lock is released (their readers take mu_ during teardown).
-  std::vector<std::unique_ptr<ClientConnection>> finished;
-  MutexLock lock(&mu_);
-  // Prune connections whose reader completed teardown: each accepted
-  // stream pays the (tiny) cleanup cost for its predecessors, so a
-  // long-lived server does not accumulate dead connection objects.
-  for (auto it = connections_.begin(); it != connections_.end();) {
-    if ((*it)->finished()) {
-      finished.push_back(std::move(*it));
-      it = connections_.erase(it);
-    } else {
-      ++it;
-    }
+  const int fd = stream->pollable_fd();
+  if (fd < 0 || loops_.empty()) {
+    LogLine(LogLevel::kWarning) << "refusing a connection: "
+                                << (fd < 0 ? "its stream has no pollable fd"
+                                           : "no event loop is running");
+    stream->Close();
+    return;
   }
+  MutexLock lock(&mu_);
+  // Prune connections whose teardown finished: each accepted stream pays
+  // the (tiny) cleanup cost for its predecessors, so a long-lived server
+  // does not accumulate dead connection objects.
+  PruneFinishedConnections();
   // Admission control (decision 15): over capacity — or draining toward
-  // shutdown — the connection is politely closed before it gets a reader
-  // or an fd registration, and the accept loop keeps running. connections_
-  // holds only live connections here (the finished were just pruned).
+  // shutdown — the connection is politely closed before it gets an fd
+  // registration, and the accept loop keeps running. connections_ holds
+  // only live connections here (the finished were just pruned).
   if ((options_.max_connections != 0 &&
        connections_.size() >= options_.max_connections) ||
       draining_.load()) {
@@ -111,29 +106,24 @@ void AudioServer::AddConnection(std::unique_ptr<ByteStream> stream) {
   metrics_->connections_total.Increment();
   metrics_->connections_open.Add(1);
   obs::Trace(obs::TraceReason::kConnectionOpen, raw->index());
-  const int fd = raw->pollable_fd();
-  if (!loops_.empty() && fd >= 0) {
-    // Loop plane: shard by fd hash, no per-connection threads. The fd is
-    // registered after the connection is published (still under mu_, so
-    // the first readiness dispatch — which takes mu_ — cannot overtake us).
-    const uint32_t loop_index = static_cast<uint32_t>(fd) % loops_.size();
-    EventLoop* loop = loops_[loop_index].get();
-    raw->ConfigureLoopMode(loop_index, [loop, fd] {
-      // The owning loop flushes after every dispatch round itself; only
-      // foreign threads (engine events) need to arm write interest.
-      if (!loop->OnLoopThread()) {
-        loop->SetWantWrite(fd, true);
-      }
-    });
-    connections_.push_back(std::move(conn));
-    loop->Add(fd, [this, raw, loop_index](uint32_t events) {
-      LoopHandleReady(raw, loop_index, events);
-    });
-    return;
-  }
-  raw->StartWriter();
-  raw->StartReader([this, raw] { ReaderLoop(raw); });
+  // Shard round-robin by connection index: balanced and deterministic
+  // whatever fd numbers the transport hands out. A reused fd cannot
+  // collide across loops: teardown removes the fd from its loop before the
+  // connection is finished, and only its destructor closes it.
+  const uint32_t loop_index = index % static_cast<uint32_t>(loops_.size());
+  EventLoop* loop = loops_[loop_index].get();
+  raw->AttachToLoop(loop_index, [loop, fd] {
+    // This fd's own handler flushes the connection before it returns, so
+    // replies to its requests need no arming. Every other sender (another
+    // connection's dispatch on any loop, the engine, a sweep) arms.
+    if (!loop->InHandlerFor(fd)) {
+      loop->SetWantWrite(fd, true);
+    }
+  });
   connections_.push_back(std::move(conn));
+  // Registered after the connection is published (still under mu_, so the
+  // first readiness dispatch — which takes mu_ — cannot overtake us).
+  loop->Add(fd, [this, raw](uint32_t events) { LoopHandleReady(raw, events); });
 }
 
 bool AudioServer::ListenTcp(uint16_t port) {
@@ -160,10 +150,9 @@ void AudioServer::AcceptLoop() {
   while (!shutting_down_.load()) {
     // Transient accept failures (EINTR, ECONNABORTED, fd exhaustion) are
     // retried inside Accept with bounded backoff; nullptr means the
-    // listener itself was closed.
-    // Loop-plane fds are accepted non-blocking (atomically, via accept4);
-    // legacy-mode fds stay blocking for the reader/writer threads.
-    std::unique_ptr<ByteStream> stream = listener_.Accept(!loops_.empty());
+    // listener itself was closed. Fds are accepted non-blocking for the
+    // event loops (atomically, via accept4).
+    std::unique_ptr<ByteStream> stream = listener_.Accept(/*nonblocking=*/true);
     const uint64_t retries = listener_.accept_retries();
     if (retries > retries_seen) {
       metrics_->accept_retries.Increment(retries - retries_seen);
@@ -174,58 +163,6 @@ void AudioServer::AcceptLoop() {
     }
     AddConnection(std::move(stream));
   }
-}
-
-void AudioServer::ReaderLoop(ClientConnection* conn) {
-  ServerMetrics& metrics = *metrics_;
-  // First message must be the connection setup.
-  std::optional<FramedMessage> setup = ReadMessage(conn->stream());
-  if (setup) {
-    metrics.bytes_in.Increment(kHeaderSize + setup->payload.size());
-    conn->stats().bytes_in.Increment(kHeaderSize + setup->payload.size());
-  }
-  if (!setup || !HandleSetup(conn, *setup)) {
-    // Drain first: the refusal reply queued by HandleSetup still flushes.
-    conn->BeginDrain();
-    metrics.connections_open.Sub(1);
-    conn->MarkFinished();
-    return;
-  }
-
-  while (!conn->closed() && !shutting_down_.load()) {
-    std::optional<FramedMessage> message = ReadMessage(conn->stream());
-    if (!message) {
-      break;
-    }
-    metrics.bytes_in.Increment(kHeaderSize + message->payload.size());
-    conn->stats().bytes_in.Increment(kHeaderSize + message->payload.size());
-    const RateGate gate = CheckRateLimit(conn, *message);
-    if (gate == RateGate::kCut) {
-      break;  // hard policy: fall through to the normal teardown below
-    }
-    if (gate == RateGate::kThrottled) {
-      continue;  // soft policy: kRateLimited queued, request dropped
-    }
-    DispatchRequest(conn, *message);
-  }
-
-  // Flush queued replies/events (bounded), then close the transport.
-  conn->BeginDrain();
-  // Free every resource the client owned (the paper's per-connection
-  // container teardown).
-  {
-    MutexLock lock(&mu_);
-    // Structural teardown: wait out any in-flight epoch so the tick fan-out
-    // holds no pointers into the objects about to be destroyed.
-    state_.WaitEngineIdle();
-    state_.DestroyConnectionObjects(conn->index());
-    state_.RecomputeActivation();
-    metrics.connections_open.Sub(1);
-    obs::Trace(obs::TraceReason::kConnectionClose, conn->index());
-  }
-  // Last action: the connection may now be joined and destroyed by the
-  // next AddConnection prune or by Shutdown.
-  conn->MarkFinished();
 }
 
 void AudioServer::DispatchRequest(ClientConnection* conn, const FramedMessage& message) {
@@ -303,8 +240,7 @@ AudioServer::RateGate AudioServer::CheckRateLimit(ClientConnection* conn,
 // (handlers and the sweep are dispatched there, and teardown removes the fd
 // before finishing), so the per-connection LoopState needs no lock.
 
-void AudioServer::LoopHandleReady(ClientConnection* conn, uint32_t loop_index,
-                                  uint32_t events) {
+void AudioServer::LoopHandleReady(ClientConnection* conn, uint32_t events) {
   // Once LoopTeardown runs it ends in MarkFinished, after which the pruner
   // (AddConnection) or Shutdown may destroy the object — so every helper
   // below returns false the moment the connection was torn down, and no
@@ -316,33 +252,30 @@ void AudioServer::LoopHandleReady(ClientConnection* conn, uint32_t loop_index,
   if ((events & kLoopError) != 0) {
     // EPOLLERR/EPOLLHUP: the transport is gone both ways — nothing queued
     // can be flushed, so skip draining and reclaim immediately.
-    LoopTeardown(conn, loop_index);
+    LoopTeardown(conn);
     return;
   }
   if (conn->closed() && !ls.draining) {
     // A foreign thread hard-closed this connection (egress overflow cut a
     // slow client off); the stream shutdown made the fd readable. The
     // backlog was already discarded, so there is nothing to drain.
-    LoopTeardown(conn, loop_index);
+    LoopTeardown(conn);
     return;
   }
   if ((events & kLoopReadable) != 0 && !ls.draining && !conn->closed()) {
-    if (!LoopReadAndDispatch(conn, loop_index)) {
+    if (!LoopReadAndDispatch(conn)) {
       return;
     }
   }
   // Flush whatever dispatch queued; also services write readiness.
-  LoopFlush(conn, loop_index);
+  LoopFlush(conn);
 }
 
-bool AudioServer::LoopReadAndDispatch(ClientConnection* conn, uint32_t loop_index) {
+bool AudioServer::LoopReadAndDispatch(ClientConnection* conn) {
   auto& ls = conn->loop_state();
   // Level-triggered readiness re-reports leftover input, so cap one round
-  // to keep a flooding client from starving its loop siblings. Under
-  // edge-triggering the kernel only reports state *changes*, so the drain
-  // must run all the way to kWouldBlock.
-  const bool edge = loops_[loop_index]->edge_triggered();
-  int budget = edge ? INT32_MAX : 256;
+  // to keep a flooding client from starving its loop siblings.
+  int budget = 256;
   bool progressed = false;
   while (!conn->closed() && !shutting_down_.load() && budget-- > 0) {
     FramedMessage message;
@@ -357,7 +290,7 @@ bool AudioServer::LoopReadAndDispatch(ClientConnection* conn, uint32_t loop_inde
     if (status != FrameStatus::kMessage) {
       // kEof (peer died, possibly mid-frame) or kMalformed (poisoned
       // framing): stop reading, flush what the client is still owed.
-      return LoopBeginDrain(conn, loop_index);
+      return LoopBeginDrain(conn);
     }
     progressed = true;
     metrics_->bytes_in.Increment(kHeaderSize + message.payload.size());
@@ -366,7 +299,7 @@ bool AudioServer::LoopReadAndDispatch(ClientConnection* conn, uint32_t loop_inde
       ls.awaiting_setup = false;
       if (!HandleSetup(conn, message)) {
         // The refusal reply still flushes through the drain.
-        return LoopBeginDrain(conn, loop_index);
+        return LoopBeginDrain(conn);
       }
       continue;
     }
@@ -374,7 +307,7 @@ bool AudioServer::LoopReadAndDispatch(ClientConnection* conn, uint32_t loop_inde
       case RateGate::kCut:
         // Hard policy: stop reading; the drain still flushes queued
         // replies before the teardown reclaims the connection.
-        return LoopBeginDrain(conn, loop_index);
+        return LoopBeginDrain(conn);
       case RateGate::kThrottled:
         continue;
       case RateGate::kDispatch:
@@ -385,33 +318,34 @@ bool AudioServer::LoopReadAndDispatch(ClientConnection* conn, uint32_t loop_inde
   return true;
 }
 
-bool AudioServer::LoopFlush(ClientConnection* conn, uint32_t loop_index) {
+bool AudioServer::LoopFlush(ClientConnection* conn) {
   auto& ls = conn->loop_state();
   if (ls.torn_down) {
     return false;
   }
+  EventLoop* loop = loops_[conn->loop_index()].get();
   const int fd = conn->pollable_fd();
   switch (conn->DrainEgress()) {
     case ClientConnection::DrainStatus::kBlocked:
-      loops_[loop_index]->SetWantWrite(fd, true);
+      loop->SetWantWrite(fd, true);
       return true;
     case ClientConnection::DrainStatus::kError:
-      LoopTeardown(conn, loop_index);
+      LoopTeardown(conn);
       return false;
     case ClientConnection::DrainStatus::kIdle:
       if (ls.draining || conn->closed()) {
         // Drain-to-completion (the backlog has fully flushed), or an
         // overflow disconnect during dispatch discarded it; reclaim.
-        LoopTeardown(conn, loop_index);
+        LoopTeardown(conn);
         return false;
       }
-      loops_[loop_index]->SetWantWrite(fd, false);
+      loop->SetWantWrite(fd, false);
       return true;
   }
   return true;
 }
 
-bool AudioServer::LoopBeginDrain(ClientConnection* conn, uint32_t loop_index) {
+bool AudioServer::LoopBeginDrain(ClientConnection* conn) {
   auto& ls = conn->loop_state();
   if (ls.torn_down) {
     return false;
@@ -420,25 +354,29 @@ bool AudioServer::LoopBeginDrain(ClientConnection* conn, uint32_t loop_index) {
     return true;
   }
   ls.draining = true;
-  // Same bound as the legacy writer drain: a peer that stops reading
-  // mid-flush cannot pin the loop — the sweep forces teardown at deadline.
+  // A peer that stops reading mid-flush cannot pin the connection: the
+  // sweep forces teardown at the deadline.
   ls.drain_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
-  conn->BeginLoopDrain();
-  return LoopFlush(conn, loop_index);
+  conn->BeginDrain();
+  return LoopFlush(conn);
 }
 
-void AudioServer::LoopTeardown(ClientConnection* conn, uint32_t loop_index) {
+void AudioServer::LoopTeardown(ClientConnection* conn) {
   auto& ls = conn->loop_state();
   if (ls.torn_down) {
     return;
   }
   ls.torn_down = true;
-  loops_[loop_index]->Remove(conn->pollable_fd());
+  loops_[conn->loop_index()]->Remove(conn->pollable_fd());
   conn->HardClose();
-  // Free every resource the client owned — identical to the legacy
-  // reader-thread teardown in ReaderLoop.
+  ReclaimConnection(conn);
+}
+
+void AudioServer::ReclaimConnection(ClientConnection* conn) {
   {
     MutexLock lock(&mu_);
+    // Structural teardown: wait out any in-flight epoch so the tick fan-out
+    // holds no pointers into the objects about to be destroyed.
     state_.WaitEngineIdle();
     state_.DestroyConnectionObjects(conn->index());
     state_.RecomputeActivation();
@@ -461,8 +399,7 @@ void AudioServer::LoopSweep(uint32_t loop_index) {
   {
     MutexLock lock(&mu_);
     for (auto& conn : connections_) {
-      if (!conn->loop_mode() || conn->loop_index() != loop_index ||
-          conn->finished()) {
+      if (conn->loop_index() != loop_index || conn->finished()) {
         continue;
       }
       auto& ls = conn->loop_state();
@@ -472,7 +409,7 @@ void AudioServer::LoopSweep(uint32_t loop_index) {
     }
   }
   for (ClientConnection* conn : expired) {
-    LoopTeardown(conn, loop_index);
+    LoopTeardown(conn);
   }
 }
 
@@ -569,7 +506,7 @@ bool AudioServer::Drain(std::chrono::milliseconds deadline) {
     accept_thread_.join();
   }
   // In-flight requests keep dispatching and their replies keep flushing
-  // (readers, writers, loops, and the engine all stay up); wait for every
+  // (the loops and the engine stay up); wait for every
   // connection's egress backlog to empty, bounded by the deadline.
   while (std::chrono::steady_clock::now() < cutoff &&
          metrics_->egress_queued_bytes.value() != 0) {
@@ -601,21 +538,14 @@ bool AudioServer::Drain(std::chrono::milliseconds deadline) {
 }
 
 void AudioServer::ReapFinishedConnections() {
-  // Same discipline as the AddConnection prune: collect under the lock,
-  // join/destroy outside it (legacy readers take mu_ during teardown).
-  std::vector<std::unique_ptr<ClientConnection>> finished;
-  {
-    MutexLock lock(&mu_);
-    for (auto it = connections_.begin(); it != connections_.end();) {
-      if ((*it)->finished()) {
-        finished.push_back(std::move(*it));
-        it = connections_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  finished.clear();  // ~ClientConnection joins the (already exited) threads
+  MutexLock lock(&mu_);
+  PruneFinishedConnections();
+}
+
+void AudioServer::PruneFinishedConnections() {
+  std::erase_if(connections_, [](const std::unique_ptr<ClientConnection>& conn) {
+    return conn->finished();
+  });
 }
 
 size_t AudioServer::connection_objects_for_test() {
@@ -644,29 +574,18 @@ void AudioServer::Shutdown() {
   for (auto& loop : loops_) {
     loop->Stop();
   }
-  // Swap the connections out under the lock, then join/destroy outside it
-  // (legacy readers take mu_ during teardown). No new connections can
-  // appear: the accept thread has already been joined above.
   std::vector<std::unique_ptr<ClientConnection>> conns;
   {
     MutexLock lock(&mu_);
     conns.swap(connections_);
   }
-  // Loop-plane connections whose teardown never ran (their loop stopped
-  // first) get the same reclamation the legacy reader exit performs, so
-  // gauges and the registry end balanced either way.
+  // Connections whose teardown never ran (their loop stopped first) get
+  // the same reclamation, so gauges and the registry end balanced.
   for (auto& conn : conns) {
-    if (conn->loop_mode() && !conn->finished()) {
-      MutexLock lock(&mu_);
-      state_.WaitEngineIdle();
-      state_.DestroyConnectionObjects(conn->index());
-      state_.RecomputeActivation();
-      metrics_->connections_open.Sub(1);
-      obs::Trace(obs::TraceReason::kConnectionClose, conn->index());
-      conn->MarkFinished();
+    if (!conn->finished()) {
+      ReclaimConnection(conn.get());
     }
   }
-  conns.clear();  // ~ClientConnection joins each legacy reader + writer
 }
 
 }  // namespace aud

@@ -51,10 +51,6 @@ bool EventLoop::Start() {
   if (running_.load(std::memory_order_relaxed)) {
     return true;
   }
-  if (!use_epoll_ && options_.backend == EventLoopOptions::Backend::kEpoll) {
-    LogLine(LogLevel::kWarning) << "event loop: epoll backend unavailable";
-    return false;
-  }
   if (::pipe(wake_fds_) != 0) {
     LogLine(LogLevel::kWarning) << "event loop: pipe() failed";
     return false;
@@ -195,8 +191,7 @@ void EventLoop::SyncBackend(int fd, const Watch& watch, bool add) {
 #ifdef __linux__
   if (use_epoll_) {
     epoll_event ev{};
-    ev.events = EPOLLIN | EPOLLRDHUP | (watch.want_write ? EPOLLOUT : 0u) |
-                (options_.edge_triggered ? EPOLLET : 0u);
+    ev.events = EPOLLIN | EPOLLRDHUP | (watch.want_write ? EPOLLOUT : 0u);
     ev.data.fd = fd;
     if (::epoll_ctl(epoll_fd_, add ? EPOLL_CTL_ADD : EPOLL_CTL_MOD, fd, &ev) !=
             0 &&
@@ -305,7 +300,9 @@ void EventLoop::DispatchEvent(int fd, uint32_t events) {
   // Keep the function alive across the call even if it removes itself.
   std::shared_ptr<Handler> handler = it->second.handler;
   const auto t0 = std::chrono::steady_clock::now();
+  handler_fd_ = fd;
   (*handler)(events);
+  handler_fd_ = -1;
   if (options_.metrics.dispatch_us != nullptr) {
     options_.metrics.dispatch_us->Record(static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(

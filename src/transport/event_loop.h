@@ -1,11 +1,10 @@
 // EventLoop: readiness-driven I/O multiplexing for the connection plane.
 // One instance owns one thread and a set of watched descriptors; the
-// server shards accepted sockets across a small pool of these by fd hash
-// instead of spending a reader + writer thread per client (DESIGN.md
-// decision 14). The epoll backend is the Linux fast path (level-triggered
-// by default, optionally edge-triggered); a poll(2) backend provides the
-// portable fallback and is selectable at runtime so tests cover it on any
-// host.
+// server shards its connections across a small pool of these, round-robin
+// by connection index (DESIGN.md decision 14). Readiness is level-
+// triggered. The backend is chosen at build time: epoll on Linux, poll(2)
+// everywhere else; EventLoopOptions::backend can force poll(2) so its unit
+// test runs on Linux too.
 //
 // Threading contract: handlers and the sweep callback run on the loop
 // thread only, with no EventLoop lock held — a handler may freely take the
@@ -47,16 +46,12 @@ struct EventLoopMetrics {
 };
 
 struct EventLoopOptions {
+  // Explicit values: the parameterised EventLoopTest cases are named by them.
   enum class Backend : uint8_t {
-    kAuto,   // epoll on Linux, poll elsewhere
-    kEpoll,  // fails Start() where unavailable
-    kPoll,   // portable fallback, also usable on Linux for test coverage
+    kAuto = 0,  // the build's backend: epoll on Linux, poll elsewhere
+    kPoll = 2,  // force poll(2); the unit-test seam for the portable path
   };
   Backend backend = Backend::kAuto;
-  // Edge-triggered readiness (epoll backend only). Handlers must drain to
-  // kWouldBlock — which ours do under level-triggering too, so both modes
-  // share one state machine.
-  bool edge_triggered = false;
   // Upper bound on one wait; bounds sweep latency for drain deadlines.
   uint32_t wait_timeout_ms = 50;
   EventLoopMetrics metrics;
@@ -97,14 +92,17 @@ class EventLoop {
   // Forces the loop out of its wait (used by Stop and cross-thread ops).
   void Wakeup();
 
-  bool using_epoll() const { return use_epoll_; }
-  bool edge_triggered() const { return use_epoll_ && options_.edge_triggered; }
   bool OnLoopThread() const {
     // Before the loop thread publishes its id, callers see "not the loop
     // thread" and take the (always-correct) queued-op path.
     return std::this_thread::get_id() ==
            loop_thread_id_.load(std::memory_order_acquire);
   }
+
+  // True only on the loop thread while `fd`'s own handler runs. A handler
+  // that flushes its fd before returning can skip arming write interest
+  // for sends it makes itself; any other fd still needs arming.
+  bool InHandlerFor(int fd) const { return OnLoopThread() && handler_fd_ == fd; }
 
  private:
   struct Op {
@@ -137,6 +135,9 @@ class EventLoop {
 
   std::thread thread_;
   std::atomic<std::thread::id> loop_thread_id_{};
+  // The fd whose handler is running, -1 between handlers. Loop thread only:
+  // InHandlerFor reads it after checking OnLoopThread.
+  int handler_fd_ = -1;
   std::atomic<bool> running_{false};
   std::function<void()> sweep_;
 

@@ -11,7 +11,7 @@ namespace aud {
 namespace {
 
 // SplitMix64 output mix. The state advance is a fetch_add of the golden
-// gamma, so concurrent reader/writer threads each draw distinct values
+// gamma, so concurrent reader and writer threads each draw distinct values
 // without a lock (order between threads does not matter for fault
 // schedules; the schedule is still fully determined by the seed for any
 // single-threaded replay).

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <thread>
 
@@ -18,8 +19,9 @@
 namespace aud {
 
 SocketStream::~SocketStream() {
-  // The owner joins its reader thread before destroying the stream, so the
-  // fd can be released here without racing a blocked recv().
+  // The owner stops every user of the stream (a client's reader thread, the
+  // server loop that watched the fd) before destroying it, so the fd can be
+  // released here without racing a blocked recv() or an fd reuse.
   const int fd = fd_.exchange(-1, std::memory_order_relaxed);
   if (fd >= 0) {
     ::close(fd);
@@ -240,6 +242,24 @@ void SocketListener::Close() {
 
 void SocketListener::InjectAcceptErrnosForTest(std::vector<int> errnos) {
   injected_errnos_ = std::move(errnos);
+}
+
+std::pair<std::unique_ptr<ByteStream>, std::unique_ptr<ByteStream>> CreateSocketPair() {
+  int fds[2];
+#ifdef SOCK_CLOEXEC
+  const int rc = ::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds);
+#else
+  const int rc = ::socketpair(AF_UNIX, SOCK_STREAM, 0, fds);
+  if (rc == 0) {
+    ::fcntl(fds[0], F_SETFD, FD_CLOEXEC);
+    ::fcntl(fds[1], F_SETFD, FD_CLOEXEC);
+  }
+#endif
+  if (rc != 0) {
+    LogLine(LogLevel::kError) << "socketpair failed: " << std::strerror(errno);
+    std::abort();
+  }
+  return {std::make_unique<SocketStream>(fds[0]), std::make_unique<SocketStream>(fds[1])};
 }
 
 std::unique_ptr<ByteStream> ConnectTcp(const std::string& host, uint16_t port) {

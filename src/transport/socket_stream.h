@@ -1,6 +1,8 @@
-// TCP socket transport: the "networked access to resources" requirement of
+// Socket transport: the "networked access to resources" requirement of
 // section 2 — a client connects to the audio server of any workstation on
-// the network the same way X clients reach remote displays.
+// the network the same way X clients reach remote displays. In-process
+// clients (tests, benches, examples) use a connected AF_UNIX socketpair, so
+// every connection the server holds is a pollable socket.
 
 #ifndef SRC_TRANSPORT_SOCKET_STREAM_H_
 #define SRC_TRANSPORT_SOCKET_STREAM_H_
@@ -9,13 +11,14 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/transport/stream.h"
 
 namespace aud {
 
-// A connected TCP socket endpoint.
+// A connected stream socket endpoint (TCP or AF_UNIX).
 class SocketStream : public ByteStream {
  public:
   // Takes ownership of a connected fd.
@@ -30,8 +33,8 @@ class SocketStream : public ByteStream {
   void Close() override;
 
   // Non-blocking variants for the event-loop connection plane. Correct
-  // whether or not the fd carries O_NONBLOCK: blocking-mode fds simply
-  // never return kWouldBlock (send/recv are used with MSG_DONTWAIT).
+  // whether or not the fd carries O_NONBLOCK (send/recv are used with
+  // MSG_DONTWAIT).
   IoResult ReadSome(std::span<uint8_t> out) override;
   IoResult WriteSome(std::span<const uint8_t> data) override;
   int pollable_fd() const override {
@@ -96,6 +99,11 @@ class SocketListener {
 
 // Connects to 127.0.0.1:`port`; nullptr on failure.
 std::unique_ptr<ByteStream> ConnectTcp(const std::string& host, uint16_t port);
+
+// A connected AF_UNIX stream socketpair, both ends FD_CLOEXEC and blocking:
+// one end goes to AudioServer::AddConnection, the other to an in-process
+// client. Aborts if the process is out of descriptors.
+std::pair<std::unique_ptr<ByteStream>, std::unique_ptr<ByteStream>> CreateSocketPair();
 
 }  // namespace aud
 

@@ -19,7 +19,7 @@ TEST_F(AlibTest, SetupExposesServerMetadata) {
 }
 
 TEST_F(AlibTest, BadSetupMagicRefused) {
-  auto [client_end, server_end] = CreatePipePair();
+  auto [client_end, server_end] = CreateSocketPair();
   server_->AddConnection(std::move(server_end));
   SetupRequest request;
   request.magic = 0xDEADBEEF;

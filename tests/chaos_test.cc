@@ -19,7 +19,6 @@
 #include "src/toolkit/toolkit.h"
 #include "src/transport/fault_stream.h"
 #include "src/transport/framer.h"
-#include "src/transport/pipe_stream.h"
 #include "src/transport/socket_stream.h"
 #include "tests/server_fixture.h"
 
@@ -74,7 +73,7 @@ void SendReq(ByteStream* stream, Opcode opcode, uint32_t seq,
 }
 
 // A client that builds up a large reply backlog and never reads it: uploads
-// a sound, then requests it back over and over. The writer thread fills the
+// a sound, then requests it back over and over. The server's loop fills the
 // socket buffers, the egress queue hits its budget, and the overflow policy
 // must cut this client — and only this client — off.
 void StallerClient(uint16_t port, int index) {
@@ -670,7 +669,7 @@ TEST(ChaosTest, HostileTrafficDoesNotPerturbEngineOutput) {
     AudioServer server(&board);
     board.speakers()[0]->set_capture_output(true);
 
-    auto [client_end, server_end] = CreatePipePair();
+    auto [client_end, server_end] = CreateSocketPair();
     server.AddConnection(std::move(server_end));
     auto client = AudioConnection::Open(std::move(client_end), "player");
     ASSERT_NE(client, nullptr);
@@ -694,7 +693,7 @@ TEST(ChaosTest, HostileTrafficDoesNotPerturbEngineOutput) {
     std::unique_ptr<ByteStream> hostile_client_end;
     std::thread hostile;
     if (hostile_load) {
-      auto [client_end_h, server_end_h] = CreatePipePair();
+      auto [client_end_h, server_end_h] = CreateSocketPair();
       hostile_client_end = std::move(client_end_h);
       server.AddConnection(std::move(server_end_h));
       ASSERT_NE(RawSetup(hostile_client_end.get(), "hostile"), kNoResource);

@@ -142,7 +142,7 @@ std::vector<Sample> PlayTwiceAndCapture(size_t cache_bytes) {
   ServerOptions options;
   options.decoded_cache_bytes = cache_bytes;
   AudioServer server(&board, options);
-  auto [client_end, server_end] = CreatePipePair();
+  auto [client_end, server_end] = CreateSocketPair();
   server.AddConnection(std::move(server_end));
   auto client = AudioConnection::Open(std::move(client_end), "cache-compare");
   AudioToolkit toolkit(client.get());

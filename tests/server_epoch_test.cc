@@ -27,7 +27,7 @@
 #include "src/hw/board.h"
 #include "src/server/server.h"
 #include "src/toolkit/toolkit.h"
-#include "src/transport/pipe_stream.h"
+#include "src/transport/socket_stream.h"
 
 namespace aud {
 namespace {
@@ -37,7 +37,7 @@ namespace {
 class World {
  public:
   World() : board_(BoardConfig{}), server_(&board_) {
-    auto [client_end, server_end] = CreatePipePair();
+    auto [client_end, server_end] = CreateSocketPair();
     server_.AddConnection(std::move(server_end));
     client_ = AudioConnection::Open(std::move(client_end), "epoch-test");
     toolkit_ = std::make_unique<AudioToolkit>(client_.get());

@@ -1,10 +1,9 @@
-// Event-loop connection plane (DESIGN.md decision 14): the same contracts
-// the thread-per-connection plane honors — hostile-client survival, full
-// resource reclamation, slow-client overflow policies — re-proven with
-// connections multiplexed onto a fixed pool of event-loop threads (level-
-// and edge-triggered, epoll and poll backends), plus the one property the
-// legacy plane cannot have: thread count that does not grow with the client
-// count.
+// Event-loop connection plane (DESIGN.md decision 14): hostile-client
+// survival, full resource reclamation and slow-client overflow policies
+// with every connection multiplexed onto the server's fixed pool of loop
+// threads; both readiness backends through the bare EventLoop; a thread
+// count that does not grow with the client count; and events that one
+// client's request raises for another client on the same loop.
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -265,11 +264,10 @@ INSTANTIATE_TEST_SUITE_P(Backends, EventLoopTest,
 // Loop-plane server behavior.
 
 TEST(EventLoopPlane, ServesClientsAndReportsLoopStats) {
-  ServerOptions options;
-  options.connection_threads = 2;
   Board board{BoardConfig{}};
-  AudioServer server(&board, options);
-  ASSERT_EQ(server.connection_loops(), 2u);
+  AudioServer server(&board);
+  ASSERT_GE(server.connection_loops(), 1u);
+  ASSERT_LE(server.connection_loops(), 4u);
   ASSERT_TRUE(server.ListenTcp(0));
   server.StartRealtime();
   const uint16_t port = server.tcp_port();
@@ -285,13 +283,13 @@ TEST(EventLoopPlane, ServesClientsAndReportsLoopStats) {
     clients.push_back(std::move(conn));
   }
 
-  // The stats reply carries the v6 loop plane: both loops up, every client
+  // The stats reply carries the v6 loop plane: every loop up, every client
   // fd watched, wait syscalls accumulating.
   auto wire = clients[0]->GetServerStats(false);
   ASSERT_TRUE(wire.ok()) << wire.status().ToString();
   const ServerStatsReply& s = wire.value();
   EXPECT_EQ(s.stats_version, kServerStatsVersion);
-  EXPECT_EQ(s.loops, 2u);
+  EXPECT_EQ(s.loops, server.connection_loops());
   EXPECT_GE(s.fds_watched, 6);
   EXPECT_GT(s.epoll_waits, 0u);
   EXPECT_EQ(s.connections_open, 6);
@@ -313,37 +311,13 @@ TEST(EventLoopPlane, ServesClientsAndReportsLoopStats) {
   server.Shutdown();
 }
 
-TEST(EventLoopPlane, PollBackendServesClients) {
-  ServerOptions options;
-  options.connection_threads = 2;
-  options.loop_use_poll = true;  // portable fallback, forced on Linux too
-  Board board{BoardConfig{}};
-  AudioServer server(&board, options);
-  ASSERT_TRUE(server.ListenTcp(0));
-  server.StartRealtime();
-
-  auto conn = AudioConnection::OpenTcp("127.0.0.1", server.tcp_port(), "poll-client");
-  ASSERT_NE(conn, nullptr);
-  ResourceId loud = conn->CreateLoud(kNoResource, {});
-  conn->CreateDevice(loud, DeviceClass::kOutput, {});
-  ASSERT_TRUE(conn->Sync().ok());
-  auto stats = conn->GetServerStats(false);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats.value().loops, 2u);
-  EXPECT_GT(stats.value().epoll_waits, 0u);  // poll(2) waits count here too
-  conn->Close();
-  server.Shutdown();
-}
-
 TEST(EventLoopPlane, ThreadCountDoesNotGrowWithClients) {
   const int probe = ProcessThreadCount();
   if (probe < 0) {
     GTEST_SKIP() << "/proc/self/status unavailable";
   }
-  ServerOptions options;
-  options.connection_threads = 2;
   Board board{BoardConfig{}};
-  AudioServer server(&board, options);
+  AudioServer server(&board);
   ASSERT_TRUE(server.ListenTcp(0));
   server.StartRealtime();
   const uint16_t port = server.tcp_port();
@@ -360,10 +334,17 @@ TEST(EventLoopPlane, ThreadCountDoesNotGrowWithClients) {
     ASSERT_NE(RawSetup(stream.get(), "counted-" + std::to_string(i)), kNoResource);
     clients.push_back(std::move(stream));
   }
-  EXPECT_EQ(StatsOf(&server).connections_open, 16);
+  // In-process clients on socketpairs ride the same loops.
+  for (int i = 0; i < 16; ++i) {
+    auto [client_end, server_end] = CreateSocketPair();
+    server.AddConnection(std::move(server_end));
+    ASSERT_NE(RawSetup(client_end.get(), "paired-" + std::to_string(i)), kNoResource);
+    clients.push_back(std::move(client_end));
+  }
+  EXPECT_EQ(StatsOf(&server).connections_open, 32);
   const int threads_loaded = ProcessThreadCount();
   EXPECT_EQ(threads_loaded, threads_idle)
-      << "16 loop-plane clients changed the process thread count";
+      << "16 TCP and 16 socketpair clients changed the process thread count";
 
   for (auto& stream : clients) {
     stream->Close();
@@ -373,10 +354,8 @@ TEST(EventLoopPlane, ThreadCountDoesNotGrowWithClients) {
 }
 
 TEST(EventLoopPlane, MidReadinessClientDeathReclaimsEverything) {
-  ServerOptions options;
-  options.connection_threads = 2;
   Board board{BoardConfig{}};
-  AudioServer server(&board, options);
+  AudioServer server(&board);
   ASSERT_TRUE(server.ListenTcp(0));
   server.StartRealtime();
   const uint16_t port = server.tcp_port();
@@ -416,7 +395,6 @@ TEST_P(EventLoopOverflow, SlowClientIsCutOffAndReclaimed) {
   // budget must disconnect the staller on the loop path — kDropEvents may
   // shed queued events first, kDisconnect cuts straight away.
   ServerOptions options;
-  options.connection_threads = 2;
   options.egress_buffer_bytes = 8 * 1024;
   options.egress_overflow = GetParam();
   Board board{BoardConfig{}};
@@ -449,13 +427,11 @@ INSTANTIATE_TEST_SUITE_P(Policies, EventLoopOverflow,
                          ::testing::Values(EgressOverflowPolicy::kDropEvents,
                                            EgressOverflowPolicy::kDisconnect));
 
-// The decision-11 chaos contract, re-run with the connection plane
-// multiplexed: 25 hostile clients against 2 loop threads.
-void RunHostileMix(bool edge_triggered) {
+// The decision-11 chaos contract with the connection plane multiplexed:
+// 25 hostile clients against the server's loop threads.
+TEST(EventLoopPlane, SurvivesHostileClientMixLevelTriggered) {
   ServerOptions options;
   options.egress_buffer_bytes = 8 * 1024;  // small: overflow must trigger
-  options.connection_threads = 2;
-  options.loop_edge_triggered = edge_triggered;
   Board board{BoardConfig{}};
   AudioServer server(&board, options);
   ASSERT_TRUE(server.ListenTcp(0));
@@ -495,7 +471,7 @@ void RunHostileMix(bool edge_triggered) {
   EXPECT_GE(after.egress_disconnects, 1u);
   EXPECT_GT(after.requests_total, idle.requests_total);
   EXPECT_GT(after.request_errors_total, 0u);
-  EXPECT_EQ(after.loops, 2u);
+  EXPECT_EQ(after.loops, server.connection_loops());
 
   // Still serving; the loop plane reports over the wire.
   ConnectRetryOptions retry;
@@ -532,12 +508,39 @@ void RunHostileMix(bool edge_triggered) {
   server.Shutdown();
 }
 
-TEST(EventLoopPlane, SurvivesHostileClientMixLevelTriggered) {
-  RunHostileMix(/*edge_triggered=*/false);
-}
+// An event that one client's request raises for another client must reach
+// it even when both share a loop and the other client sends nothing: the
+// loop flushes only the connection whose handler runs, so Send has to arm
+// write interest for every other one. connection_loops() + 1 clients,
+// sharded round-robin, guarantee that two of them share a loop.
+class CrossConnectionEventTest : public ServerFixture {};
 
-TEST(EventLoopPlane, SurvivesHostileClientMixEdgeTriggered) {
-  RunHostileMix(/*edge_triggered=*/true);
+TEST_F(CrossConnectionEventTest, EventReachesIdleClientOnSharedLoop) {
+  ResourceId loud = client_->CreateLoud(kNoResource, {});
+  Flush();
+  std::vector<AudioConnection*> clients = {client_.get()};
+  while (clients.size() < server_->connection_loops() + 1) {
+    extra_clients_.push_back(Connect("watcher-" + std::to_string(clients.size())));
+    ASSERT_NE(extra_clients_.back(), nullptr);
+    clients.push_back(extra_clients_.back().get());
+  }
+  for (AudioConnection* c : clients) {
+    c->SelectEvents(loud, kPropertyEvents);
+    ASSERT_TRUE(c->Sync().ok());
+  }
+  const std::vector<uint8_t> value = {'x'};
+  for (size_t i = 0; i < clients.size(); ++i) {
+    const std::string name = "P" + std::to_string(i);
+    clients[i]->ChangeProperty(loud, name, "STRING", value);
+    // Every selecting client gets the PropertyNotify, the idle ones too.
+    for (size_t j = 0; j < clients.size(); ++j) {
+      EventMessage event;
+      ASSERT_TRUE(clients[j]->WaitEvent(&event, 5000))
+          << "client " << j << " never got client " << i << "'s PropertyNotify";
+      EXPECT_EQ(event.type, EventType::kPropertyNotify);
+      EXPECT_EQ(PropertyNotifyArgs::Decode(event.args).name, name);
+    }
+  }
 }
 
 }  // namespace

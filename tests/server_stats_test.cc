@@ -14,7 +14,7 @@
 #include "src/hw/board.h"
 #include "src/server/server.h"
 #include "src/toolkit/toolkit.h"
-#include "src/transport/pipe_stream.h"
+#include "src/transport/socket_stream.h"
 #include "tests/server_fixture.h"
 
 namespace aud {
@@ -371,11 +371,11 @@ TEST(ServerStatsConcurrency, PollStatsWhileEngineFansOut) {
   Board board{config};
   AudioServer server(&board);
 
-  auto [client_end, server_end] = CreatePipePair();
+  auto [client_end, server_end] = CreateSocketPair();
   server.AddConnection(std::move(server_end));
   auto player = AudioConnection::Open(std::move(client_end), "player");
   ASSERT_NE(player, nullptr);
-  auto [poll_client_end, poll_server_end] = CreatePipePair();
+  auto [poll_client_end, poll_server_end] = CreateSocketPair();
   server.AddConnection(std::move(poll_server_end));
   auto poller = AudioConnection::Open(std::move(poll_client_end), "poller");
   ASSERT_NE(poller, nullptr);

@@ -12,7 +12,7 @@
 #include "src/hw/board.h"
 #include "src/server/server.h"
 #include "src/toolkit/toolkit.h"
-#include "src/transport/pipe_stream.h"
+#include "src/transport/socket_stream.h"
 
 namespace aud {
 namespace {
@@ -28,7 +28,7 @@ TEST(StressTest, ConcurrentClientsUnderRealtimeEngine) {
   std::atomic<bool> failed{false};
 
   auto worker = [&](int index) {
-    auto [client_end, server_end] = CreatePipePair();
+    auto [client_end, server_end] = CreateSocketPair();
     server.AddConnection(std::move(server_end));
     auto client = AudioConnection::Open(std::move(client_end), "stress-" + std::to_string(index));
     if (client == nullptr) {
@@ -101,7 +101,7 @@ TEST(StressTest, ConcurrentClientsUnderRealtimeEngine) {
   EXPECT_FALSE(failed.load());
   EXPECT_GT(operations.load(), kThreads * 5);
   // The server is still coherent: a fresh client can do real work.
-  auto [client_end, server_end] = CreatePipePair();
+  auto [client_end, server_end] = CreateSocketPair();
   server.AddConnection(std::move(server_end));
   auto survivor = AudioConnection::Open(std::move(client_end), "survivor");
   ASSERT_NE(survivor, nullptr);

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "src/transport/framer.h"
-#include "src/transport/pipe_stream.h"
+#include "src/transport/socket_stream.h"
 
 namespace aud {
 namespace {
@@ -58,14 +58,14 @@ TEST(FaultSpecTest, ForInstanceDerivesDistinctSchedules) {
 }
 
 TEST(FaultStreamTest, MaybeWrapIsIdentityWhenDisabled) {
-  auto [a, b] = CreatePipePair();
+  auto [a, b] = CreateSocketPair();
   ByteStream* raw = a.get();
   auto wrapped = MaybeWrapFault(std::move(a), FaultOptions{});
   EXPECT_EQ(wrapped.get(), raw);
 }
 
 TEST(FaultStreamTest, ShortReadDeliversOneBytePrefix) {
-  auto [a, b] = CreatePipePair();
+  auto [a, b] = CreateSocketPair();
   FaultOptions options = Faulty();
   options.short_read = 1.0;
   FaultStream faulty(std::move(a), options);
@@ -84,7 +84,7 @@ TEST(FaultStreamTest, ShortReadDeliversOneBytePrefix) {
 }
 
 TEST(FaultStreamTest, ResetReadActsLikePeerDeath) {
-  auto [a, b] = CreatePipePair();
+  auto [a, b] = CreateSocketPair();
   FaultOptions options = Faulty();
   options.reset_read = 1.0;
   FaultStream faulty(std::move(a), options);
@@ -98,7 +98,7 @@ TEST(FaultStreamTest, ResetReadActsLikePeerDeath) {
 }
 
 TEST(FaultStreamTest, ResetWriteFailsAndStaysDead) {
-  auto [a, b] = CreatePipePair();
+  auto [a, b] = CreateSocketPair();
   FaultOptions options = Faulty();
   options.reset_write = 1.0;
   FaultStream faulty(std::move(a), options);
@@ -121,7 +121,7 @@ TEST(FaultStreamTest, ResetWriteFailsAndStaysDead) {
 }
 
 TEST(FaultStreamTest, ChopWriteDeliversEveryByte) {
-  auto [a, b] = CreatePipePair();
+  auto [a, b] = CreateSocketPair();
   FaultOptions options = Faulty();
   options.chop_write = 1.0;
   FaultStream faulty(std::move(a), options);
@@ -147,7 +147,7 @@ TEST(FaultStreamTest, SameSeedReplaysSameSchedule) {
   // Two streams with identical options over identical traffic inject the
   // same faults — the property that makes chaos failures replayable.
   auto run = [](uint64_t seed) {
-    auto [a, b] = CreatePipePair();
+    auto [a, b] = CreateSocketPair();
     FaultOptions options;
     options.enabled = true;
     options.seed = seed;
@@ -187,7 +187,7 @@ TEST(FaultStreamTest, SameSeedReplaysSameSchedule) {
 TEST(FaultStreamTest, FramerReassemblesOverChoppyTransport) {
   // 50 frames of varying size through short reads + chopped writes: the
   // framer must deliver every frame intact and in order.
-  auto [a, b] = CreatePipePair();
+  auto [a, b] = CreateSocketPair();
   FaultOptions write_faults = Faulty();
   write_faults.chop_write = 0.6;
   FaultStream faulty_writer(std::move(a), write_faults);

@@ -1,18 +1,17 @@
-// Transport tests: pipe streams, TCP sockets, framing.
+// Transport tests: socketpair streams, TCP sockets, framing.
 
 #include <gtest/gtest.h>
 
 #include <thread>
 
 #include "src/transport/framer.h"
-#include "src/transport/pipe_stream.h"
 #include "src/transport/socket_stream.h"
 
 namespace aud {
 namespace {
 
-TEST(PipeStreamTest, BytesFlowBothWays) {
-  auto [a, b] = CreatePipePair();
+TEST(SocketPairTest, BytesFlowBothWays) {
+  auto [a, b] = CreateSocketPair();
   std::vector<uint8_t> ping = {1, 2, 3};
   ASSERT_TRUE(a->Write(ping));
   std::vector<uint8_t> buf(3);
@@ -26,8 +25,8 @@ TEST(PipeStreamTest, BytesFlowBothWays) {
   EXPECT_EQ(buf, pong);
 }
 
-TEST(PipeStreamTest, CloseUnblocksReader) {
-  auto [a, b] = CreatePipePair();
+TEST(SocketPairTest, CloseUnblocksReader) {
+  auto [a, b] = CreateSocketPair();
   std::thread reader([&] {
     std::vector<uint8_t> buf(10);
     EXPECT_EQ(b->Read(buf), 0u);  // EOF
@@ -36,8 +35,8 @@ TEST(PipeStreamTest, CloseUnblocksReader) {
   reader.join();
 }
 
-TEST(PipeStreamTest, DrainsBufferedDataAfterClose) {
-  auto [a, b] = CreatePipePair();
+TEST(SocketPairTest, DrainsBufferedDataAfterClose) {
+  auto [a, b] = CreateSocketPair();
   std::vector<uint8_t> data = {5, 6, 7};
   a->Write(data);
   a->Close();
@@ -47,15 +46,15 @@ TEST(PipeStreamTest, DrainsBufferedDataAfterClose) {
   EXPECT_EQ(b->Read(buf), 0u);
 }
 
-TEST(PipeStreamTest, WriteAfterCloseFails) {
-  auto [a, b] = CreatePipePair();
+TEST(SocketPairTest, WriteAfterCloseFails) {
+  auto [a, b] = CreateSocketPair();
   b->Close();
   std::vector<uint8_t> data = {1};
   EXPECT_FALSE(a->Write(data));
 }
 
-TEST(PipeStreamTest, LargeTransferSurvivesChunking) {
-  auto [a, b] = CreatePipePair();
+TEST(SocketPairTest, LargeTransferSurvivesChunking) {
+  auto [a, b] = CreateSocketPair();
   std::vector<uint8_t> big(100000);
   for (size_t i = 0; i < big.size(); ++i) {
     big[i] = static_cast<uint8_t>(i * 7);
@@ -99,7 +98,7 @@ TEST(SocketStreamTest, ConnectToClosedPortFails) {
 }
 
 TEST(FramerTest, MessageRoundTrip) {
-  auto [a, b] = CreatePipePair();
+  auto [a, b] = CreateSocketPair();
   std::vector<uint8_t> payload = {10, 20, 30, 40};
   ASSERT_TRUE(WriteMessage(a.get(), MessageType::kEvent, 5, 99, payload));
   auto msg = ReadMessage(b.get());
@@ -111,7 +110,7 @@ TEST(FramerTest, MessageRoundTrip) {
 }
 
 TEST(FramerTest, EmptyPayloadOk) {
-  auto [a, b] = CreatePipePair();
+  auto [a, b] = CreateSocketPair();
   ASSERT_TRUE(WriteMessage(a.get(), MessageType::kRequest, 0, 1, {}));
   auto msg = ReadMessage(b.get());
   ASSERT_TRUE(msg.has_value());
@@ -119,7 +118,7 @@ TEST(FramerTest, EmptyPayloadOk) {
 }
 
 TEST(FramerTest, SequentialMessagesStayFramed) {
-  auto [a, b] = CreatePipePair();
+  auto [a, b] = CreateSocketPair();
   for (uint32_t i = 0; i < 50; ++i) {
     std::vector<uint8_t> payload(i, static_cast<uint8_t>(i));
     ASSERT_TRUE(WriteMessage(a.get(), MessageType::kRequest, static_cast<uint16_t>(i), i,
@@ -134,7 +133,7 @@ TEST(FramerTest, SequentialMessagesStayFramed) {
 }
 
 TEST(FramerTest, OversizedLengthRejected) {
-  auto [a, b] = CreatePipePair();
+  auto [a, b] = CreateSocketPair();
   MessageHeader h;
   h.type = MessageType::kRequest;
   h.length = kMaxPayload + 1;
@@ -145,7 +144,7 @@ TEST(FramerTest, OversizedLengthRejected) {
 }
 
 TEST(FramerTest, NonZeroReservedByteRejected) {
-  auto [a, b] = CreatePipePair();
+  auto [a, b] = CreateSocketPair();
   ByteWriter w;
   MessageHeader{}.Encode(&w);
   std::vector<uint8_t> bytes(w.bytes().begin(), w.bytes().end());
@@ -156,7 +155,7 @@ TEST(FramerTest, NonZeroReservedByteRejected) {
 }
 
 TEST(FramerTest, UnknownMessageTypeRejected) {
-  auto [a, b] = CreatePipePair();
+  auto [a, b] = CreateSocketPair();
   ByteWriter w;
   MessageHeader{}.Encode(&w);
   std::vector<uint8_t> bytes(w.bytes().begin(), w.bytes().end());
@@ -167,7 +166,7 @@ TEST(FramerTest, UnknownMessageTypeRejected) {
 }
 
 TEST(FramerTest, EofMidMessageReturnsNothing) {
-  auto [a, b] = CreatePipePair();
+  auto [a, b] = CreateSocketPair();
   MessageHeader h;
   h.type = MessageType::kRequest;
   h.length = 100;  // promised but never delivered

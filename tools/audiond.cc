@@ -4,7 +4,7 @@
 //
 // Usage:
 //   audiond [--port N] [--speakers N] [--microphones N] [--lines N]
-//           [--connection-threads N] [--speakerphone]
+//           [--speakerphone]
 //           [--wav-out FILE] [--stats-interval-ms N] [--trace-sample N]
 //           [--metrics-port N] [--flight-dump FILE] [--verbose]
 //
@@ -59,9 +59,8 @@ void HandleSignal(int) { g_stop = 1; }
 void HandleDrainSignal(int) { g_drain = 1; }
 void HandleDumpSignal(int) { g_dump = 1; }
 
-// Upper bounds for the simulated board and the connection plane.
+// Upper bound for the simulated board.
 constexpr int kMaxBoardDevices = 64;
-constexpr uint32_t kMaxConnectionThreads = 64;
 
 // Consumes the value after argv[*i] into *out. The whole string must be a
 // base-10 T in [lo, hi]; otherwise says why and returns false.
@@ -147,12 +146,6 @@ int main(int argc, char** argv) {
       next_int(&config.microphones, 0, kMaxBoardDevices);
     } else if (arg == "--lines") {
       next_int(&config.phone_lines, 0, kMaxBoardDevices);
-    } else if (arg == "--connection-threads") {
-      next_int(&options.connection_threads, 0, kMaxConnectionThreads);
-    } else if (arg == "--loop-poll") {
-      options.loop_use_poll = true;
-    } else if (arg == "--loop-edge") {
-      options.loop_edge_triggered = true;
     } else if (arg == "--speakerphone") {
       config.speakerphone = true;
     } else if (arg == "--wav-out") {
@@ -222,8 +215,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: audiond [--port N] [--speakers N] [--microphones N] "
-                   "[--lines N] [--connection-threads N] "
-                   "[--loop-poll] [--loop-edge] [--speakerphone] "
+                   "[--lines N] [--speakerphone] "
                    "[--wav-out FILE] [--catalogue DIR] [--stats-interval-ms N] "
                    "[--trace-sample N] [--metrics-port N] [--flight-dump FILE] "
                    "[--egress-buffer-bytes N] [--egress-overflow drop-events|disconnect] "
@@ -290,14 +282,7 @@ int main(int argc, char** argv) {
   std::printf("audiond: board: %d speaker(s), %d microphone(s), %d line(s)%s\n",
               config.speakers, config.microphones, config.phone_lines,
               config.speakerphone ? " + speakerphone" : "");
-  if (server.connection_loops() > 0) {
-    std::printf("audiond: connections: %zu event loop(s)%s%s\n",
-                server.connection_loops(),
-                options.loop_use_poll ? " [poll backend]" : "",
-                options.loop_edge_triggered ? " [edge-triggered]" : "");
-  } else {
-    std::printf("audiond: connections: thread-per-connection\n");
-  }
+  std::printf("audiond: connections: %zu event loop(s)\n", server.connection_loops());
   if (options.trace_sample_every > 0) {
     std::printf("audiond: tracing every %uth request per connection\n",
                 options.trace_sample_every);

@@ -1,6 +1,6 @@
-# Runs audiond with malformed and out-of-range numeric flag values; each must
-# be refused while the command line is parsed, with exit status 1, so no
-# server ever starts. Values that are valid but used to be mangled are
+# Runs audiond with malformed and out-of-range numeric flag values, and with
+# flags it no longer has; each must be refused while the command line is
+# parsed, with exit status 1, so no server ever starts. Values that are valid but used to be mangled are
 # checked with a trailing --help, which exits 0 only if every flag before it
 # parsed.
 #
@@ -43,15 +43,16 @@ expect_exit(1 --limit-rps 4294967296)
 expect_exit(1 --trace-sample -4)
 expect_exit(1 --stats-interval-ms 2147483648)
 # Outside the option's own range.
-expect_exit(1 --connection-threads 65)
-expect_exit(1 --connection-threads 1000000)
-expect_exit(1 --connection-threads -2)
 expect_exit(1 --speakers 0)
 expect_exit(1 --lines 65)
 expect_exit(1 --egress-buffer-bytes 0)
 expect_exit(1 --drain-ms -5)
 # A bad value stops the parse even when valid flags follow it.
 expect_exit(1 --port abc --help)
+# Flags of the removed thread-per-connection plane are refused, not ignored.
+expect_exit(1 --connection-threads 4 --help)
+expect_exit(1 --loop-poll --help)
+expect_exit(1 --loop-edge --help)
 
 # 64-bit byte counts above 2^31 parse intact (they used to wrap negative and
 # silently disable the limit).
